@@ -15,6 +15,7 @@
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
+#include "nn/vecmath.h"
 #include "sampling/sampler.h"
 #include "util/rng.h"
 
@@ -36,6 +37,38 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2ll * n * n * n);
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
+
+// Elementwise kernels over an activation buffer of the given length;
+// items are elements, so the reported rate reads as elements/second.
+void BM_TanhVec(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(3);
+  nn::Tensor x(1, n);
+  nn::NormalInit(&x, 3.0f, &rng);
+  nn::Tensor y(1, n);
+  for (auto _ : state) {
+    nn::TanhVec(x.data(), y.data(), x.size());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TanhVec)->Arg(4 * 64)->Arg(256 * 64);
+
+void BM_SigmoidVec(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(4);
+  nn::Tensor x(1, n);
+  nn::NormalInit(&x, 3.0f, &rng);
+  nn::Tensor y(1, n);
+  for (auto _ : state) {
+    nn::SigmoidVec(x.data(), y.data(), x.size());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SigmoidVec)->Arg(4 * 64)->Arg(256 * 64);
 
 void BM_RnnStepForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));

@@ -20,7 +20,7 @@ namespace birnn::eval {
 /// shard partitioning, sampler logic, dataset generators, ...). A bump
 /// invalidates every existing cache entry — warm runs silently fall back to
 /// recomputation, never to stale numbers.
-inline constexpr uint32_t kCacheSchemaVersion = 1;
+inline constexpr uint32_t kCacheSchemaVersion = 2;
 
 /// Streaming 64-bit FNV-1a hasher — the cache's content-address function.
 /// Deliberately boring: stable across platforms/runs, cheap, and already the

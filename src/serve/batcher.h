@@ -95,10 +95,10 @@ struct BatcherStats {
 /// repeated cell contents across requests without touching any engine.
 ///
 /// Because the engine's forward path is batch-composition independent
-/// (row-independent kernels, register-width row padding, content-keyed
-/// memoization — see core/inference.h), the verdicts are bit-identical to
-/// running each request alone, no matter how requests interleave or what
-/// max_batch / max_delay_us window is configured. The batching changes
+/// (kernels that give a row the same bits at any batch size and position,
+/// content-keyed memoization — see core/inference.h), the verdicts are
+/// bit-identical to running each request alone, no matter how requests
+/// interleave or what max_batch / max_delay_us window is configured. The batching changes
 /// throughput, never answers.
 ///
 /// Backpressure: the pending queue is bounded by `queue_capacity` cells;

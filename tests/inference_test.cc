@@ -121,30 +121,55 @@ TEST(InferenceParityTest, ForwardOnlyMatchesTrainingGraphSoftmax) {
 }
 
 TEST(InferenceEngineTest, MemoizedBitIdenticalToUnmemoized) {
+  // A cell's bits must not depend on its batch's size or its row in it:
+  // batches run at their real row count, so this is the guard of the
+  // memo's bit-exact broadcast. The narrow config's widths (5, 3, 7) are
+  // multiples of no SIMD width, so every elementwise sweep takes its scalar
+  // tail at some row; the reference runs every cell alone.
   const data::EncodedDataset ds = DuplicateHeavyDataset();
-  ErrorDetectionModel model(SmallConfig(ds));
-  model.CalibrateBatchNorm(ds);
-
-  InferenceOptions memo_on;
-  memo_on.memoize = true;
-  InferenceOptions memo_off;
-  memo_off.memoize = false;
-  for (const int eval_batch : {7, 256}) {
-    memo_on.eval_batch = eval_batch;
-    memo_off.eval_batch = eval_batch;
-    InferenceEngine a(model, memo_on);
-    InferenceEngine b(model, memo_off);
-    std::vector<float> pa;
-    std::vector<float> pb;
-    a.PredictProbs(ds, {}, &pa);
-    b.PredictProbs(ds, {}, &pb);
-    ASSERT_EQ(pa.size(), pb.size());
-    for (size_t i = 0; i < pa.size(); ++i) {
-      EXPECT_EQ(pa[i], pb[i]) << "cell " << i << " batch " << eval_batch;
+  ModelConfig narrow = SmallConfig(ds);
+  narrow.units = 5;
+  narrow.attr_units = 3;
+  narrow.hidden_dense_dim = 7;
+  for (const ModelConfig& config : {SmallConfig(ds), narrow}) {
+    ErrorDetectionModel model(config);
+    model.CalibrateBatchNorm(ds);
+    for (const nn::Precision precision :
+         {nn::Precision::kFp32, nn::Precision::kInt8}) {
+      InferenceOptions alone;
+      alone.memoize = false;
+      alone.eval_batch = 1;
+      alone.precision = precision;
+      InferenceEngine reference(model, alone);
+      std::vector<float> expected;
+      reference.PredictProbs(ds, {}, &expected);
+      for (const int eval_batch : {1, 2, 3, 5, 7, 17, 256}) {
+        InferenceOptions memo_on = alone;
+        memo_on.memoize = true;
+        memo_on.eval_batch = eval_batch;
+        InferenceOptions memo_off = alone;
+        memo_off.eval_batch = eval_batch;
+        InferenceEngine a(model, memo_on);
+        InferenceEngine b(model, memo_off);
+        std::vector<float> pa;
+        std::vector<float> pb;
+        a.PredictProbs(ds, {}, &pa);
+        b.PredictProbs(ds, {}, &pb);
+        ASSERT_EQ(pa.size(), expected.size());
+        ASSERT_EQ(pb.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(pa[i], expected[i])
+              << "cell " << i << " batch " << eval_batch << " units "
+              << config.units << " precision " << static_cast<int>(precision);
+          EXPECT_EQ(pb[i], expected[i])
+              << "cell " << i << " batch " << eval_batch << " units "
+              << config.units << " precision " << static_cast<int>(precision);
+        }
+        EXPECT_GT(a.stats().dedup_factor, 1.5);
+        EXPECT_LT(a.stats().unique_cells, a.stats().cells);
+        EXPECT_EQ(b.stats().unique_cells, b.stats().cells);
+      }
     }
-    EXPECT_GT(a.stats().dedup_factor, 1.5);
-    EXPECT_LT(a.stats().unique_cells, a.stats().cells);
-    EXPECT_EQ(b.stats().unique_cells, b.stats().cells);
   }
 }
 
@@ -214,6 +239,9 @@ TEST(InferenceEngineTest, IndexSubsetAndStats) {
   EXPECT_EQ(full.stats().cells, ds.num_cells());
   EXPECT_EQ(full.stats().rnn_steps_dense,
             ds.num_cells() * ds.max_len * 2);  // bidirectional
+  // Batches run their real rows: one full-length row per distinct cell.
+  EXPECT_EQ(full.stats().rnn_steps,
+            full.stats().unique_cells * ds.max_len * 2);
   EXPECT_GT(full.stats().batches, 0);
 
   // Cells 0/1/2 are the three attributes of row 0 — distinct content by
@@ -249,16 +277,20 @@ TEST(InferenceEngineTest, BucketedIsInvariantToMemoization) {
 
   for (const bool memoize : {true, false}) {
     for (const int threads : {0, 4}) {
-      InferenceOptions options = base;
-      options.memoize = memoize;
-      options.threads = threads;
-      InferenceEngine engine(model, options);
-      std::vector<float> got;
-      engine.PredictProbs(ds, {}, &got);
-      ASSERT_EQ(expected.size(), got.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i], got[i])
-            << "cell " << i << " memo " << memoize << " threads " << threads;
+      for (const int eval_batch : {1, 7, 17}) {
+        InferenceOptions options = base;
+        options.memoize = memoize;
+        options.threads = threads;
+        options.eval_batch = eval_batch;
+        InferenceEngine engine(model, options);
+        std::vector<float> got;
+        engine.PredictProbs(ds, {}, &got);
+        ASSERT_EQ(expected.size(), got.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(expected[i], got[i])
+              << "cell " << i << " memo " << memoize << " threads "
+              << threads << " batch " << eval_batch;
+        }
       }
     }
   }

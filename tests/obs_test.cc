@@ -227,13 +227,13 @@ TEST(RegistryTest, RetiredMetricsRetainTotals) {
     c.Add(5);
     // Live instance reads only itself; the scrape sees dead + live.
     EXPECT_EQ(c.Value(), 5);
-    const MetricSnapshot* m =
-        Find(Registry::Get().Snapshot(), "test/ephemeral_counter");
+    const std::vector<MetricSnapshot> snapshot = Registry::Get().Snapshot();
+    const MetricSnapshot* m = Find(snapshot, "test/ephemeral_counter");
     ASSERT_NE(m, nullptr);
     EXPECT_EQ(m->counter, 12);
   }
-  const MetricSnapshot* m =
-      Find(Registry::Get().Snapshot(), "test/ephemeral_counter");
+  const std::vector<MetricSnapshot> snapshot = Registry::Get().Snapshot();
+  const MetricSnapshot* m = Find(snapshot, "test/ephemeral_counter");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->counter, 12);
 }
@@ -246,8 +246,8 @@ TEST(RegistryTest, RetiredHistogramsMergeIntoScrape) {
   }
   Histogram h("test/ephemeral_hist");
   h.Record(2.0);
-  const MetricSnapshot* m =
-      Find(Registry::Get().Snapshot(), "test/ephemeral_hist");
+  const std::vector<MetricSnapshot> snapshot = Registry::Get().Snapshot();
+  const MetricSnapshot* m = Find(snapshot, "test/ephemeral_hist");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->histogram.count, 3);
   EXPECT_DOUBLE_EQ(m->histogram.sum, 7.0);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "nn/vecmath.h"
 
 namespace birnn::nn {
 namespace {
@@ -207,6 +212,102 @@ TEST(OpsTest, SoftmaxCrossEntropyConfidentCorrect) {
   Tensor logits = Tensor::FromMatrix(1, 2, {10, -10});
   const float loss = SoftmaxCrossEntropyLoss(logits, {0}, nullptr);
   EXPECT_LT(loss, 1e-4);
+}
+
+// ------------------------------------------------------------------ vecmath
+
+using VecFn = void (*)(const float*, float*, size_t);
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Spans of every length 1..67 at every offset 0..15 equal one-element calls
+// bit for bit, so the vector body and the scalar tail agree (under whatever
+// FMA contraction the build applies). This is what lets the inference
+// engine run unpadded batches; a span past one 256-element chunk and an
+// in-place call hold the same contract.
+TEST(VecmathTest, SpanEqualsElementwiseBitForBit) {
+  std::mt19937 rng(7);
+  std::normal_distribution<float> dist(0.0f, 4.0f);
+  std::vector<float> x(700);
+  for (float& v : x) v = dist(rng);
+  x[3] = 3e-4f;
+  x[9] = -7.9f;
+  x[20] = 7.91f;
+  for (VecFn fn : {&TanhVec, &SigmoidVec}) {
+    std::vector<float> one(x.size());
+    for (size_t i = 0; i < x.size(); ++i) fn(&x[i], &one[i], 1);
+    std::vector<float> y(x.size());
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t n = 1; n <= 67; ++n) {
+        fn(x.data() + offset, y.data(), n);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(SameBits(y[i], one[offset + i]))
+              << "offset " << offset << " n " << n << " i " << i;
+        }
+      }
+    }
+    std::vector<float> inplace = x;
+    fn(inplace.data(), inplace.data(), inplace.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      ASSERT_TRUE(SameBits(inplace[i], one[i])) << "i " << i;
+    }
+  }
+}
+
+TEST(VecmathTest, AbsoluteErrorAgainstDoublePrecision) {
+  const int n = 2000001;
+  std::vector<float> x(n);
+  for (int i = 0; i < n; ++i) x[i] = -10.0f + 20.0f * i / (n - 1);
+  std::vector<float> t(n);
+  std::vector<float> s(n);
+  TanhVec(x.data(), t.data(), n);
+  SigmoidVec(x.data(), s.data(), n);
+  double tanh_err = 0.0;
+  double sigmoid_err = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double xd = x[i];
+    tanh_err = std::max(tanh_err, std::fabs(t[i] - std::tanh(xd)));
+    sigmoid_err = std::max(sigmoid_err,
+                           std::fabs(s[i] - 1.0 / (1.0 + std::exp(-xd))));
+    ASSERT_LE(std::fabs(t[i]), 1.0f) << x[i];
+  }
+  EXPECT_LE(tanh_err, 5e-7);
+  EXPECT_LE(sigmoid_err, 5e-7);
+}
+
+TEST(VecmathTest, ExactValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x = {0.0f, -0.0f, inf, -inf, nan, 1e30f, -1e30f};
+  std::vector<float> t(x.size());
+  std::vector<float> s(x.size());
+  TanhVec(x.data(), t.data(), x.size());
+  SigmoidVec(x.data(), s.data(), x.size());
+  EXPECT_TRUE(SameBits(t[0], 0.0f));
+  EXPECT_TRUE(SameBits(t[1], -0.0f));
+  EXPECT_EQ(t[2], 1.0f);
+  EXPECT_EQ(t[3], -1.0f);
+  EXPECT_TRUE(std::isnan(t[4]));
+  EXPECT_EQ(t[5], 1.0f);
+  EXPECT_EQ(t[6], -1.0f);
+  EXPECT_EQ(s[0], 0.5f);
+  EXPECT_EQ(s[1], 0.5f);
+  EXPECT_EQ(s[2], 1.0f);
+  EXPECT_EQ(s[3], 0.0f);
+  EXPECT_TRUE(std::isnan(s[4]));
+
+  // tanh is odd, bit for bit.
+  std::vector<float> pos(4001);
+  for (size_t i = 0; i < pos.size(); ++i) pos[i] = 0.0025f * i;
+  std::vector<float> neg(pos.size());
+  for (size_t i = 0; i < pos.size(); ++i) neg[i] = -pos[i];
+  std::vector<float> tp(pos.size());
+  std::vector<float> tn(pos.size());
+  TanhVec(pos.data(), tp.data(), pos.size());
+  TanhVec(neg.data(), tn.data(), neg.size());
+  for (size_t i = 0; i < pos.size(); ++i) {
+    ASSERT_TRUE(SameBits(tn[i], -tp[i])) << pos[i];
+  }
 }
 
 }  // namespace
