@@ -2,8 +2,10 @@
 // sweep on each paper generator, comparing
 //   naive     — the pre-engine path: allocate a fresh full-length batch per
 //               chunk and run the scratch-free model forward,
-//   memoized  — InferenceEngine with duplicate-cell memoization (default),
-//   +bucketed — memoization plus length-bucketed backward pad-prefix reuse.
+//   memoized  — InferenceEngine with duplicate-cell memoization at the
+//               full max_len (bucketed = false),
+//   +bucketed — memoization plus length-bucketed backward pad-prefix reuse
+//               (the engine default).
 // Writes a machine-readable summary to --json (default BENCH_inference.json;
 // see run_inference_throughput.sh).
 //
@@ -163,6 +165,7 @@ int Run(int argc, char** argv) {
     core::InferenceOptions memo_options;
     memo_options.eval_batch = eval_batch;
     memo_options.threads = threads;
+    memo_options.bucketed = false;
     core::InferenceStats memo_stats;
     EngineSweep(model, all, memo_options, &row.memo, &memo_stats);
     row.unique_cells = memo_stats.unique_cells;
@@ -248,6 +251,7 @@ int Run(int argc, char** argv) {
     core::InferenceOptions memo_options;
     memo_options.eval_batch = eval_batch;
     memo_options.threads = threads;
+    memo_options.bucketed = false;
     core::InferenceStats memo_stats;
     EngineSweep(model, all, memo_options, &row.memo, &memo_stats);
     row.unique_cells = memo_stats.unique_cells;

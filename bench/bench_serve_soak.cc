@@ -341,7 +341,6 @@ int Run(int argc, char** argv) {
                "pipelined requests per connection in the overload phase "
                "(0 skips the phase)");
   flags.AddInt("max-batch", 64, "micro-batcher max batch (cells)");
-  flags.AddInt("max-delay-us", 2000, "micro-batcher window (microseconds)");
   flags.AddInt("queue-capacity", 4096, "admission queue bound (cells)");
   flags.AddInt("replicas", 2, "engine replicas for the served model");
   flags.AddInt("reactor-threads", 2, "reactor event loops");
@@ -394,7 +393,6 @@ int Run(int argc, char** argv) {
 
   serve::ServerOptions server_options;
   server_options.batcher.max_batch = flags.GetInt("max-batch");
-  server_options.batcher.max_delay_us = flags.GetInt("max-delay-us");
   server_options.batcher.queue_capacity = flags.GetInt("queue-capacity");
   server_options.batcher.replicas = flags.GetInt("replicas");
 

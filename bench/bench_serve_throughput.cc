@@ -238,7 +238,6 @@ int Run(int argc, char** argv) {
   AddCommonFlags(&flags, "BENCH_serve.json");
   flags.AddInt("request-cells", 4, "cells per detect request");
   flags.AddInt("max-batch", 64, "micro-batcher max batch (cells)");
-  flags.AddInt("max-delay-us", 2000, "micro-batcher window (microseconds)");
   flags.AddInt("queue-capacity", 4096, "admission queue bound (cells)");
   flags.AddInt("max-concurrency", 8, "highest client concurrency level");
   flags.AddString("server-mode", "reactor",
@@ -257,8 +256,7 @@ int Run(int argc, char** argv) {
   std::cout << "=== Serving throughput (mode=" << server_mode
             << ", replicas=" << flags.GetInt("replicas")
             << ", request_cells=" << request_cells
-            << ", max_batch=" << flags.GetInt("max-batch")
-            << ", window=" << flags.GetInt("max-delay-us") << "us) ===\n\n";
+            << ", max_batch=" << flags.GetInt("max-batch") << ") ===\n\n";
 
   struct DatasetResult {
     std::string dataset;
@@ -311,7 +309,6 @@ int Run(int argc, char** argv) {
                               : serve::ServeMode::kReactor;
     server_options.io_threads = max_concurrency;
     server_options.batcher.max_batch = flags.GetInt("max-batch");
-    server_options.batcher.max_delay_us = flags.GetInt("max-delay-us");
     server_options.batcher.queue_capacity = flags.GetInt("queue-capacity");
     server_options.batcher.replicas = flags.GetInt("replicas");
     serve::Server server(&registry, server_options);
@@ -382,7 +379,6 @@ int Run(int argc, char** argv) {
     json.Key("replicas").Int(flags.GetInt("replicas"));
     json.Key("request_cells").Int(request_cells);
     json.Key("max_batch").Int(flags.GetInt("max-batch"));
-    json.Key("max_delay_us").Int(flags.GetInt("max-delay-us"));
     json.Key("queue_capacity").Int(flags.GetInt("queue-capacity"));
     json.Key("epochs").Int(config.epochs);
     json.Key("scale").Number(config.scale);

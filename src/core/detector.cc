@@ -123,7 +123,7 @@ StatusOr<DetectionReport> ErrorDetector::RunInternal(
 
   // 5. Detection over every cell of the frame through the inference
   // engine: distinct cell contents are predicted once and broadcast to
-  // their duplicates, optionally length-bucketed (see core/inference.h).
+  // their duplicates, length-bucketed (see core/inference.h).
   InferenceOptions inference_options;
   inference_options.eval_batch = options_.trainer.eval_batch;
   inference_options.threads = options_.eval_threads;

@@ -50,11 +50,11 @@ struct DetectorOptions {
   /// thread count, so predictions are bit-identical for every value.
   int eval_threads = 0;
 
-  /// Opt-in: length-bucket the final inference sweep so the backward value
-  /// chain skips its all-pad prefix (precomputed once and warm-started per
+  /// Length-bucket the final inference sweep so the backward value chain
+  /// skips its all-pad prefix (precomputed once and warm-started per
   /// bucket). Bit-identical predictions, fewer RNN steps on tables whose
   /// value lengths vary; see InferenceOptions::bucketed.
-  bool bucketed_inference = false;
+  bool bucketed_inference = true;
 
   /// Worker threads for data-parallel gradient computation during training
   /// (0 = inline). Copied into `trainer.train_threads`; results are

@@ -34,17 +34,19 @@ struct InferenceOptions {
   /// `InferenceStats::dedup_factor` reports how much.
   bool memoize = true;
 
-  /// Opt-in: group cells by content length so the *backward* value chain
-  /// skips its all-pad prefix. The prefix is cell-independent — identical
-  /// pad inputs evolving the zero initial state — so it is precomputed once
-  /// per sweep and every bucket warm-starts from it. The forward chain
-  /// still runs its pad tail: the (trained) pad embedding keeps moving
-  /// per-cell state, so those steps cannot be skipped (they are not
-  /// absorbing under the tanh/GRU/LSTM cell equations — naive truncation
-  /// wrecks accuracy). Bit-identical to the unbucketed sweep, verified on
-  /// all six paper generators in inference_test; saves up to half the RNN
-  /// steps on tables whose values are much shorter than max_len.
-  bool bucketed = false;
+  /// Group cells by content length so the *backward* value chain skips its
+  /// all-pad prefix (the default sweep). The prefix is cell-independent —
+  /// identical pad inputs evolving the zero initial state — so it is
+  /// precomputed once per sweep and every bucket warm-starts from it. The
+  /// forward chain still runs its pad tail: the (trained) pad embedding
+  /// keeps moving per-cell state, so those steps cannot be skipped (they
+  /// are not absorbing under the tanh/GRU/LSTM cell equations — naive
+  /// truncation wrecks accuracy). Bit-identical to the unbucketed sweep,
+  /// verified on all six paper generators in inference_test; saves up to
+  /// half the RNN steps on tables whose values are much shorter than
+  /// max_len. `false` runs every cell at the full max_len, the reference
+  /// the tests pin the default against.
+  bool bucketed = true;
 
   /// Bucket granularity: padded lengths are rounded up to this multiple
   /// (capped at max_len). Larger quanta mean fewer, fuller batches.
@@ -77,7 +79,7 @@ struct InferenceStats {
 
 /// Reusable forward-only executor for whole-table detection sweeps: the
 /// serving-side counterpart of the data-parallel trainer. Memoizes
-/// duplicate cells, optionally length-buckets the unique ones, reuses
+/// duplicate cells, length-buckets the unique ones, reuses
 /// per-worker scratch (BatchInput columns and every intermediate tensor),
 /// and shards batches over a ThreadPool with deterministic output order.
 ///

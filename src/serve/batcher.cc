@@ -15,7 +15,6 @@ core::InferenceOptions MakeEngineOptions(const BatcherOptions& options) {
   engine_options.eval_batch = std::max(1, options.max_batch);
   engine_options.threads = 0;  // the dispatcher thread runs the sweep
   engine_options.memoize = true;
-  engine_options.bucketed = options.bucketed;
   engine_options.precision = options.precision;
   return engine_options;
 }
@@ -45,7 +44,6 @@ MicroBatcher::MicroBatcher(const LoadedDetector& detector,
       options_(options),
       memo_(MakeMemoOptions(detector, options)) {
   options_.max_batch = std::max(1, options_.max_batch);
-  options_.max_delay_us = std::max(0, options_.max_delay_us);
   options_.queue_capacity = std::max(1, options_.queue_capacity);
   options_.replicas = std::max(1, options_.replicas);
   dispatchers_.reserve(static_cast<size_t>(options_.replicas));
@@ -94,7 +92,7 @@ void MicroBatcher::Submit(const std::vector<CellQuery>& cells,
                              std::chrono::steady_clock::now()});
   pending_cells_ += n;
   lock.unlock();
-  wake_dispatcher_.notify_all();
+  wake_dispatcher_.notify_one();
 }
 
 Status MicroBatcher::Detect(const std::vector<CellQuery>& cells,
@@ -159,27 +157,13 @@ void MicroBatcher::DispatchLoop() {
   for (;;) {
     wake_dispatcher_.wait(lock,
                           [this] { return stopping_ || !pending_.empty(); });
-    if (pending_.empty()) {
-      if (stopping_) return;  // drained
-      continue;
-    }
+    if (pending_.empty()) return;  // stopping and drained
 
-    // The batching window: wait for a full batch, the oldest request's
-    // deadline, or shutdown — whichever comes first. During a drain there
-    // is no window; everything admitted flushes immediately.
-    if (!stopping_ && pending_cells_ < options_.max_batch) {
-      const auto deadline =
-          pending_.front().arrival +
-          std::chrono::microseconds(options_.max_delay_us);
-      wake_dispatcher_.wait_until(lock, deadline, [this] {
-        return stopping_ || pending_cells_ >= options_.max_batch;
-      });
-      if (pending_.empty()) continue;  // a sibling replica took everything
-    }
-
-    // Coalesce whole requests up to max_batch cells. The first request is
-    // always taken, so an oversized request still gets served (in one big
-    // batch) rather than starving.
+    // Continuous batching: take whatever is pending now, whole requests up
+    // to max_batch cells. Requests that arrived while this replica was busy
+    // leave together; a request on an idle batcher leaves alone, at once.
+    // The first request is always taken, so an oversized request still gets
+    // served (in one big batch) rather than starving.
     std::vector<Pending> taken;
     int64_t batch_cells = 0;
     while (!pending_.empty()) {
@@ -193,9 +177,10 @@ void MicroBatcher::DispatchLoop() {
     lock.unlock();
     queue_cells_.Add(static_cast<double>(-batch_cells));
 
-    // One padded forward batch for everything taken. The engine memoizes
-    // duplicate cell contents within the batch and pads rows to a register
-    // multiple, so each cell's verdict is independent of its batch-mates.
+    // One forward batch for everything taken, run at its real row count.
+    // The engine memoizes duplicate cell contents within the batch, and its
+    // kernels give a row the same bits at any batch size and position, so
+    // each cell's verdict is independent of its batch-mates.
     data::EncodedDataset* batch = &taken.front().encoded;
     data::EncodedDataset merged;
     if (taken.size() > 1) {

@@ -18,20 +18,17 @@
 
 namespace birnn::serve {
 
-/// Dynamic micro-batching policy.
+/// Continuous-batching policy.
 struct BatcherOptions {
-  /// Dispatch as soon as this many cells are pending...
+  /// Cell bound of one coalesced batch. An idle replica takes whatever is
+  /// pending at once (whole requests, up to this many cells); requests that
+  /// arrive while every replica is busy coalesce into the next batch.
   int max_batch = 64;
-  /// ...or once the oldest pending request has waited this long.
-  int max_delay_us = 2000;
   /// Admission bound (in cells) on the pending queue. A request that would
   /// push the queue past this is shed immediately with OVERLOADED instead
   /// of queuing without bound; a request larger than the capacity can never
   /// be admitted.
   int queue_capacity = 1024;
-  /// Length-bucketed inference for the coalesced batches (bit-identical
-  /// either way; see core::InferenceOptions::bucketed).
-  bool bucketed = false;
   /// Kernel precision for the served sweeps (see
   /// core::InferenceOptions::precision). Quantized shadow weights come
   /// free with a v2 bundle; otherwise the first batch prepares them.
@@ -87,18 +84,20 @@ struct BatcherStats {
   int64_t memo_evictions = 0;  ///< shard seals that dropped entries.
 };
 
-/// Coalesces concurrent detection requests into padded batches through
-/// core::InferenceEngine replicas. Each of `options.replicas` dispatcher
-/// threads owns a private engine and pulls coalesced batches from the
-/// shared admission queue; callers enqueue encoded cells and are answered
-/// via callback once their batch completes. A shared VerdictMemo answers
-/// repeated cell contents across requests without touching any engine.
+/// Coalesces concurrent detection requests into batches through
+/// core::InferenceEngine replicas (continuous batching: no timer). Each of
+/// `options.replicas` dispatcher threads owns a private engine; an idle one
+/// takes whatever is pending the moment it arrives, and requests that queue
+/// up behind busy replicas leave together in the next batch. Callers
+/// enqueue encoded cells and are answered via callback once their batch
+/// completes. A shared VerdictMemo answers repeated cell contents across
+/// requests without touching any engine.
 ///
 /// Because the engine's forward path is batch-composition independent
 /// (kernels that give a row the same bits at any batch size and position,
 /// content-keyed memoization — see core/inference.h), the verdicts are
 /// bit-identical to running each request alone, no matter how requests
-/// interleave or what max_batch / max_delay_us window is configured. The batching changes
+/// interleave or what max_batch is configured. The batching changes
 /// throughput, never answers.
 ///
 /// Backpressure: the pending queue is bounded by `queue_capacity` cells;

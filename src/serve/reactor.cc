@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <utility>
 
 #include "util/logging.h"
@@ -24,6 +25,11 @@ namespace {
 // never 0 or 1).
 constexpr uint64_t kTagListen = 0;
 constexpr uint64_t kTagEventFd = 1;
+
+// Budget of a lingering close (Reactor::Linger): input discarded after the
+// last response, and how long the peer gets to send its EOF.
+constexpr size_t kLingerBytes = 4u << 20;
+constexpr std::chrono::milliseconds kLingerTime{1000};
 
 }  // namespace
 
@@ -56,6 +62,8 @@ class Reactor::Connection {
   bool paused = false;        ///< EPOLLIN disarmed (backpressure/EOF/close).
   bool peer_eof = false;      ///< read() returned 0; still flushing answers.
   bool close_pending = false; ///< close once delivered + flushed.
+  bool lingering = false;     ///< FIN sent; discarding input until EOF.
+  size_t linger_bytes = 0;    ///< input still discarded before closing.
   bool dead = false;          ///< destroyed; parked in the loop graveyard.
 
   /// Requests extracted but not yet answered into `out`.
@@ -78,6 +86,14 @@ struct Reactor::Loop {
   /// Connections destroyed mid-batch; memory released at batch end so raw
   /// pointers inside the current epoll_event array stay valid.
   std::vector<ConnRef> graveyard;
+  /// Lingering connections in deadline order (kLingerTime is a constant,
+  /// so that is linger order). Entries of connections that closed earlier
+  /// are skipped when they expire.
+  struct LingerEntry {
+    std::weak_ptr<Connection> conn;
+    std::chrono::steady_clock::time_point deadline;
+  };
+  std::deque<LingerEntry> lingering;
 
   struct Mail {
     std::weak_ptr<Connection> conn;
@@ -231,7 +247,13 @@ void Reactor::RunLoop(Loop* loop) {
       if (loop->conns.empty()) return;
     }
 
-    const int timeout_ms = loop->draining ? 20 : -1;
+    int timeout_ms = loop->draining ? 20 : -1;
+    if (!loop->lingering.empty()) {
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          loop->lingering.front().deadline - std::chrono::steady_clock::now());
+      const int wait_ms = static_cast<int>(std::max<int64_t>(0, wait.count()));
+      timeout_ms = timeout_ms < 0 ? wait_ms : std::min(timeout_ms, wait_ms);
+    }
     const int n = ::epoll_wait(loop->epoll_fd, events, 128, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -252,6 +274,12 @@ void Reactor::RunLoop(Loop* loop) {
       }
       Connection* conn = static_cast<Connection*>(events[i].data.ptr);
       if (conn->dead) continue;
+      if (conn->lingering) {
+        // Readable, hung up or failed: each ends in a read that discards,
+        // sees EOF or sees the error.
+        DiscardInput(loop, conn);
+        continue;
+      }
       if (events[i].events & (EPOLLERR | EPOLLHUP)) {
         DestroyConnection(loop, conn);
         continue;
@@ -263,6 +291,13 @@ void Reactor::RunLoop(Loop* loop) {
       if (events[i].events & EPOLLIN) HandleReadable(loop, conn);
     }
     DrainMailbox(loop);
+    const auto now = std::chrono::steady_clock::now();
+    while (!loop->lingering.empty() &&
+           loop->lingering.front().deadline <= now) {
+      const ConnRef conn = loop->lingering.front().conn.lock();
+      loop->lingering.pop_front();
+      if (conn != nullptr) DestroyConnection(loop, conn.get());
+    }
     loop->graveyard.clear();
   }
 }
@@ -431,7 +466,7 @@ void Reactor::FlushOut(Loop* loop, Connection* conn) {
 
   if (conn->close_pending && conn->ready.empty() &&
       conn->outstanding() == 0) {
-    DestroyConnection(loop, conn);
+    Linger(loop, conn);
     return;
   }
   if (conn->peer_eof && conn->drained()) {
@@ -444,6 +479,40 @@ void Reactor::FlushOut(Loop* loop, Connection* conn) {
     conn->paused = false;
   }
   UpdateInterest(loop, conn);
+}
+
+void Reactor::Linger(Loop* loop, Connection* conn) {
+  // close() on a socket with unread input makes the kernel send RST, not
+  // FIN; the peer then reads ECONNRESET, and the RST can overtake the
+  // response just written. So half-close instead, discard what the peer
+  // still sends, and close on its EOF or when the budget runs out.
+  if (conn->peer_eof || ::shutdown(conn->fd, SHUT_WR) != 0) {
+    DestroyConnection(loop, conn);  // nothing unread, or already broken
+    return;
+  }
+  conn->lingering = true;
+  conn->linger_bytes = kLingerBytes;
+  conn->paused = false;
+  loop->lingering.push_back(Loop::LingerEntry{
+      loop->conns.at(conn), std::chrono::steady_clock::now() + kLingerTime});
+  UpdateInterest(loop, conn);
+}
+
+void Reactor::DiscardInput(Loop* loop, Connection* conn) {
+  char chunk[65536];
+  for (;;) {
+    const ssize_t n = ::read(conn->fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      bytes_in_.Add(n);
+      if (static_cast<size_t>(n) >= conn->linger_bytes) break;
+      conn->linger_bytes -= static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    break;  // EOF or a socket error
+  }
+  DestroyConnection(loop, conn);
 }
 
 void Reactor::HandleWritable(Loop* loop, Connection* conn) {

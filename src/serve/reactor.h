@@ -122,6 +122,10 @@ class Reactor {
   void DeliverReady(Loop* loop, Connection* conn);
   void FlushOut(Loop* loop, Connection* conn);
   void UpdateInterest(Loop* loop, Connection* conn);
+  /// Graceful close after the last response: half-close (FIN), then
+  /// DiscardInput until the peer's EOF or a byte/time budget runs out.
+  void Linger(Loop* loop, Connection* conn);
+  void DiscardInput(Loop* loop, Connection* conn);
   void DestroyConnection(Loop* loop, Connection* conn);
   void DrainMailbox(Loop* loop);
   void WakeLoop(Loop* loop);

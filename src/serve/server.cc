@@ -143,14 +143,15 @@ void Server::Shutdown() {
     reactor_->Shutdown();
     listen_fd_ = -1;  // the reactor closed it
   } else {
-    // 1. Stop accepting: closing the listener makes accept() fail and the
-    //    accept thread exit.
+    // 1. Stop accepting: shutting the listener down makes accept() fail
+    //    and the accept thread exit. Close it only after the join — the
+    //    accept loop still reads `listen_fd_` until then.
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+    if (accept_thread_.joinable()) accept_thread_.join();
     if (listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
       ::close(listen_fd_);
       listen_fd_ = -1;
     }
-    if (accept_thread_.joinable()) accept_thread_.join();
 
     // 2. Wake handlers blocked in read(): half-close every open connection
     //    so their next read returns EOF. Responses already being written

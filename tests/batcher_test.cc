@@ -1,5 +1,7 @@
-// MicroBatcher contract tests: batching never changes answers, the bounded
-// queue sheds with OVERLOADED, and Stop() drains every admitted request.
+// MicroBatcher contract tests: batching never changes answers, an idle
+// dispatcher serves a request at once while a busy one coalesces the queue,
+// the bounded queue sheds with OVERLOADED, and Stop() drains every admitted
+// request.
 // This suite also runs under TSAN in CI — it is the concurrency coverage
 // for the serve subsystem.
 
@@ -7,10 +9,13 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/inference.h"
 #include "core/model.h"
 #include "serve/batcher.h"
 #include "serve/bundle.h"
@@ -70,39 +75,86 @@ bool BitIdentical(const std::vector<CellVerdict>& a,
   return true;
 }
 
+/// Every cell alone through the reference sweep: an unmemoized engine at
+/// the full max_len (no length buckets), the path every batched, bucketed
+/// and memo-served verdict must reproduce bit for bit.
+std::vector<CellVerdict> SoloVerdicts(const LoadedDetector& detector,
+                                      const std::vector<CellQuery>& queries) {
+  core::InferenceOptions options;
+  options.bucketed = false;
+  options.memoize = false;
+  core::InferenceEngine engine(detector.model(), options);
+  std::vector<CellVerdict> solo;
+  for (const CellQuery& q : queries) {
+    auto encoded = detector.EncodeQueries({q});
+    EXPECT_TRUE(encoded.ok()) << encoded.status().ToString();
+    std::vector<float> p;
+    engine.PredictProbs(*encoded, {}, &p);
+    solo.push_back(CellVerdict{p.at(0), p.at(0) > 0.5f});
+  }
+  return solo;
+}
+
+/// Pins a single-replica batcher's dispatcher inside the result callback of
+/// a 1-cell request, so whatever is submitted meanwhile stays queued until
+/// Release(). Declare it after the batcher: its destructor releases a hold
+/// a failed assertion left engaged, before the batcher's Stop() joins.
+class DispatcherHold {
+ public:
+  explicit DispatcherHold(MicroBatcher* batcher) {
+    // The callback shares the latches: it may still be returning from
+    // wait() after the hold itself has gone out of scope.
+    batcher->Submit(MakeQueries(1, 99),
+                    [latches = latches_](const Status&,
+                                         const std::vector<CellVerdict>&) {
+                      latches->entered.count_down();
+                      latches->release.wait();
+                    });
+    latches_->entered.wait();
+  }
+  ~DispatcherHold() { Release(); }
+  DispatcherHold(const DispatcherHold&) = delete;
+  DispatcherHold& operator=(const DispatcherHold&) = delete;
+
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    latches_->release.count_down();
+  }
+
+ private:
+  struct Latches {
+    std::latch entered{1};
+    std::latch release{1};
+  };
+  std::shared_ptr<Latches> latches_ = std::make_shared<Latches>();
+  bool released_ = false;
+};
+
+/// Spins until the batcher has admitted `requests` requests in total.
+void AwaitAdmitted(const MicroBatcher& batcher, int64_t requests) {
+  while (batcher.stats().requests < requests) std::this_thread::yield();
+}
+
 TEST(MicroBatcherTest, BatchedMatchesOneAtATimeBitExact) {
   const LoadedDetector detector = MakeTinyDetector();
   const std::vector<CellQuery> queries = MakeQueries(48, 0);
+  const std::vector<CellVerdict> solo = SoloVerdicts(detector, queries);
 
-  // Baseline: every cell alone through a window-less batcher.
-  std::vector<CellVerdict> solo;
-  {
-    BatcherOptions opts;
-    opts.max_batch = 1;
-    opts.max_delay_us = 0;
-    MicroBatcher batcher(detector, opts);
-    for (const CellQuery& q : queries) {
-      std::vector<CellVerdict> one;
-      ASSERT_TRUE(batcher.Detect({q}, &one).ok());
-      ASSERT_EQ(one.size(), 1u);
-      solo.push_back(one[0]);
-    }
-  }
-
-  // Concurrent: 8 threads hammer a batcher with an aggressive window so
-  // requests genuinely coalesce; every verdict must be bit-identical to the
-  // solo run regardless of batch composition.
+  // Concurrent: each round, 8 threads queue 8-cell requests behind a held
+  // dispatcher, so they leave as 32-cell batches; every verdict must be
+  // bit-identical to the solo run regardless of batch composition.
   BatcherOptions opts;
   opts.max_batch = 32;
-  opts.max_delay_us = 3000;
   MicroBatcher batcher(detector, opts);
   const int kThreads = 8;
   const int kRounds = 4;
   std::atomic<int> mismatches{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
+    DispatcherHold hold(&batcher);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t, round] {
         // Each thread asks for a different contiguous slice each round.
         const size_t begin = static_cast<size_t>((t * 11 + round * 17) % 40);
         const size_t end = std::min(queries.size(), begin + 8);
@@ -115,25 +167,71 @@ TEST(MicroBatcherTest, BatchedMatchesOneAtATimeBitExact) {
             !BitIdentical(got, expected)) {
           mismatches.fetch_add(1);
         }
-      }
-    });
+      });
+    }
+    AwaitAdmitted(batcher, (round + 1) * (kThreads + 1));
+    hold.Release();
+    for (std::thread& w : workers) w.join();
   }
-  for (std::thread& w : workers) w.join();
   EXPECT_EQ(mismatches.load(), 0);
 
   const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, kThreads * kRounds);
+  EXPECT_EQ(stats.requests, kRounds * (kThreads + 1));
   EXPECT_EQ(stats.shed_requests, 0);
-  EXPECT_GE(stats.batches, 1);
+  EXPECT_EQ(stats.max_batch_cells, 32);
+}
+
+TEST(MicroBatcherTest, LoneRequestOnIdleBatcherIsItsOwnBatch) {
+  const LoadedDetector detector = MakeTinyDetector();
+  BatcherOptions opts;
+  opts.max_batch = 1024;  // far more than one request fills
+  MicroBatcher batcher(detector, opts);
+  std::vector<CellVerdict> verdicts;
+  ASSERT_TRUE(batcher.Detect(MakeQueries(5, 0), &verdicts).ok());
+  EXPECT_EQ(verdicts.size(), 5u);
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.max_batch_cells, 5);
+}
+
+TEST(MicroBatcherTest, RequestsQueuedBehindBusyDispatcherLeaveAsOneBatch) {
+  const LoadedDetector detector = MakeTinyDetector();
+  BatcherOptions opts;
+  opts.max_batch = 1024;
+  MicroBatcher batcher(detector, opts);
+
+  const int kRequests = 6;
+  std::atomic<int> answered_ok{0};
+  {
+    DispatcherHold hold(&batcher);
+    for (int i = 0; i < kRequests; ++i) {
+      const int n = i + 1;
+      batcher.Submit(MakeQueries(n, i),
+                     [&, n](const Status& s,
+                            const std::vector<CellVerdict>& v) {
+                       if (s.ok() && static_cast<int>(v.size()) == n) {
+                         answered_ok.fetch_add(1);
+                       }
+                     });
+    }
+  }
+  batcher.Stop();
+  EXPECT_EQ(answered_ok.load(), kRequests);
+
+  // The held request's batch, then one batch of all 1+2+...+6 queued cells.
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.max_batch_cells, kRequests * (kRequests + 1) / 2);
 }
 
 TEST(MicroBatcherTest, QueueFullShedsOverloadedAndStopDrains) {
   const LoadedDetector detector = MakeTinyDetector();
   BatcherOptions opts;
-  opts.max_batch = 1024;        // never fills...
-  opts.max_delay_us = 1000000;  // ...and the window is effectively forever,
-  opts.queue_capacity = 4;      // so admitted requests sit in the queue.
+  opts.max_batch = 1024;
+  opts.queue_capacity = 4;
   MicroBatcher batcher(detector, opts);
+  // The held dispatcher leaves admitted requests sitting in the queue.
+  DispatcherHold hold(&batcher);
 
   std::atomic<int> ok{0};
   std::atomic<int> overloaded{0};
@@ -152,12 +250,14 @@ TEST(MicroBatcherTest, QueueFullShedsOverloadedAndStopDrains) {
   EXPECT_EQ(overloaded.load(), 1);
 
   // Stop() drains: the admitted 4-cell request is answered OK.
+  hold.Release();
   batcher.Stop();
   EXPECT_EQ(ok.load(), 1);
 
+  // Counts include the 1-cell request that holds the dispatcher.
   const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 1);
-  EXPECT_EQ(stats.cells, 4);
+  EXPECT_EQ(stats.requests, 2);
+  EXPECT_EQ(stats.cells, 5);
   EXPECT_EQ(stats.shed_requests, 1);
   EXPECT_EQ(stats.shed_cells, 1);
 }
@@ -179,7 +279,6 @@ TEST(MicroBatcherTest, StopAnswersEveryAdmittedRequest) {
   const LoadedDetector detector = MakeTinyDetector();
   BatcherOptions opts;
   opts.max_batch = 16;
-  opts.max_delay_us = 500;
   MicroBatcher batcher(detector, opts);
 
   const int kRequests = 24;
@@ -211,25 +310,11 @@ TEST(MicroBatcherTest, ReplicasAnswerBitIdenticallyToSoloRun) {
   const LoadedDetector detector = MakeTinyDetector();
   const std::vector<CellQuery> queries = MakeQueries(48, 0);
 
-  // Baseline: one replica, no memo, one cell at a time.
-  std::vector<CellVerdict> solo;
-  {
-    BatcherOptions opts;
-    opts.max_batch = 1;
-    opts.max_delay_us = 0;
-    opts.memo_capacity = 0;
-    MicroBatcher batcher(detector, opts);
-    for (const CellQuery& q : queries) {
-      std::vector<CellVerdict> one;
-      ASSERT_TRUE(batcher.Detect({q}, &one).ok());
-      solo.push_back(one[0]);
-    }
-  }
+  const std::vector<CellVerdict> solo = SoloVerdicts(detector, queries);
 
   // 4 engine replicas + shared memo under concurrent load: bit-identical.
   BatcherOptions opts;
   opts.max_batch = 16;
-  opts.max_delay_us = 1000;
   opts.replicas = 4;
   MicroBatcher batcher(detector, opts);
   const int kThreads = 8;
@@ -268,7 +353,6 @@ TEST(MicroBatcherTest, MemoHitsAreBitExactAndBounded) {
   const LoadedDetector detector = MakeTinyDetector();
   BatcherOptions opts;
   opts.max_batch = 8;
-  opts.max_delay_us = 0;
   opts.memo_capacity = 16;  // tiny: forces evictions on a 48-content stream
   MicroBatcher batcher(detector, opts);
 

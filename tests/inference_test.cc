@@ -233,7 +233,10 @@ TEST(InferenceEngineTest, IndexSubsetAndStats) {
   ErrorDetectionModel model(SmallConfig(ds));
   model.CalibrateBatchNorm(ds);
 
-  InferenceEngine full(model);
+  // The unbucketed sweep: every distinct cell runs the full max_len.
+  InferenceOptions unbucketed;
+  unbucketed.bucketed = false;
+  InferenceEngine full(model, unbucketed);
   std::vector<float> p_all;
   full.PredictProbs(ds, {}, &p_all);
   EXPECT_EQ(full.stats().cells, ds.num_cells());
@@ -316,7 +319,7 @@ TEST(InferenceEngineTest, CalibrateMemoizedMatchesReference) {
   }
 }
 
-/// Bit-parity of opt-in bucketed inference on the six paper generators:
+/// Bit-parity of bucketed inference on the six paper generators:
 /// the pad-prefix warm start and pad-tail completion make the bucketed
 /// sweep EXACT, so every per-cell probability must match the full-padding
 /// sweep bit for bit — on any weights (no training needed).
@@ -345,6 +348,7 @@ TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
     model.CalibrateBatchNorm(all);
 
     InferenceOptions padded;
+    padded.bucketed = false;
     InferenceOptions bucketed;
     bucketed.bucketed = true;
     InferenceEngine engine_padded(model, padded);

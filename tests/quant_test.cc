@@ -304,6 +304,7 @@ TEST(QuantizedEngineTest, Int8SweepInvariantAcrossEngineModes) {
 
   core::InferenceOptions base;
   base.eval_batch = 16;
+  base.bucketed = false;
   base.precision = Precision::kInt8;
   const std::vector<float> reference = SweepProbs(model, ds, base);
   ASSERT_EQ(reference.size(), static_cast<size_t>(ds.num_cells()));
@@ -328,6 +329,7 @@ TEST(QuantizedEngineTest, Bf16SweepInvariantAcrossEngineModes) {
 
   core::InferenceOptions base;
   base.eval_batch = 16;
+  base.bucketed = false;
   base.precision = Precision::kBf16;
   const std::vector<float> reference = SweepProbs(model, ds, base);
 

@@ -282,6 +282,44 @@ TEST(ReactorTest, OversizedLineGetsTypedErrorAndClose) {
   server.Shutdown();
 }
 
+// A client still sending when its connection is refused must see the typed
+// error and then a clean EOF. Closing a socket whose input is unread makes
+// the kernel send RST instead of FIN, which reads as ECONNRESET (and can
+// overtake the error line), so the reactor half-closes and drains first.
+TEST(ReactorTest, OversizedFloodGetsTypedErrorThenCleanEof) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Add("tiny", MakeTinyDetector()).ok());
+  ServerOptions options = ReactorOptions4Test();
+  options.max_line_bytes = 4096;
+  Server server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = ConnectTo(server.port());
+  // 16 MiB without a newline: far past the cap and past what the socket
+  // buffers on both ends hold, so input is still queued when the reactor
+  // answers.
+  std::thread flood([fd] {
+    const std::string bytes(16u << 20, 'a');
+    for (size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;  // the reactor stopped draining and closed
+      sent += static_cast<size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+  auto response = JsonValue::Parse(ReadLine(fd));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->GetString("status"), "INVALID_ARGUMENT");
+  char c = 0;
+  errno = 0;
+  const ssize_t n = ::read(fd, &c, 1);
+  EXPECT_EQ(0, n) << "read after the error line: " << std::strerror(errno);
+  flood.join();
+  ::close(fd);
+  server.Shutdown();
+}
+
 TEST(ReactorTest, AbruptDisconnectMidRequestIsHarmless) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Add("tiny", MakeTinyDetector()).ok());

@@ -368,6 +368,9 @@ TEST_P(ReplayEquivalenceTest, ReplayedInsertsMatchOfflineReport) {
   options.char_emb_dim = 8;
   options.trainer.epochs = 6;
   options.seed = 11;
+  // The offline side runs the unbucketed reference sweep; the session runs
+  // the default (bucketed) engine, so the replay also pins the two paths.
+  options.bucketed_inference = false;
   core::ErrorDetector detector(options);
   core::TrainedDetector trained;
   auto report = detector.Run(pair->dirty, pair->clean, &trained);
